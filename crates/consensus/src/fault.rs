@@ -2,23 +2,21 @@
 //!
 //! Real federated deployments lose participants constantly: processes crash,
 //! uploads vanish in the network, stragglers miss their deadline, flaky
-//! nodes fail and come back. The repo's simulations (the threaded FL
-//! transport in `dinar-fl`, the gossip protocol here) reproduce those
-//! conditions through a shared [`FaultPlan`]: a pure, seedable map from
+//! nodes fail and come back. The threaded FL transport in `dinar-fl`
+//! reproduces those conditions through a [`FaultPlan`]: a pure, seedable map from
 //! *(node, round)* to a [`FaultKind`], consulted by the runtime at the
 //! moment the node would act. Because the plan is data — not timing — the
 //! same plan and seed reproduce the same failure schedule on every run and
 //! at every worker-pool width, which is what lets the integration tests
 //! assert bit-identical models *under* injected faults.
 //!
-//! The plan deliberately lives in this crate (the lowest layer that knows
-//! about distributed nodes) so both the consensus protocols and the FL
-//! engine consume one fault vocabulary.
+//! The plan lives in this crate, the lowest layer that knows about
+//! distributed nodes, so any node simulation shares one fault vocabulary.
 
 use std::collections::BTreeMap;
 
 /// Deterministic 64-bit mixer (splitmix64), shared by the seeded fault
-/// generator and the gossip scheduler.
+/// generator and the Byzantine vote draws in [`crate::network`].
 pub(crate) fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -57,9 +55,8 @@ pub enum FaultKind {
 
 /// A deterministic schedule of injected faults, keyed by `(node, round)`.
 ///
-/// Rounds are 1-based, matching the FL engine's round numbering and the
-/// gossip protocol's sweep numbering. At most one fault per `(node, round)`
-/// cell; inserting twice keeps the latest.
+/// Rounds are 1-based, matching the FL engine's round numbering. At most
+/// one fault per `(node, round)` cell; inserting twice keeps the latest.
 ///
 /// # Example
 ///

@@ -48,7 +48,6 @@
 
 mod error;
 pub mod fault;
-pub mod gossip;
 pub mod network;
 pub mod vote;
 

@@ -16,6 +16,7 @@
 //! any `DINAR_THREADS` setting because each node's messages and decision
 //! depend only on the config, never on scheduling.
 
+use crate::fault::splitmix;
 use crate::{vote, ConsensusError, Result};
 use dinar_telemetry::Telemetry;
 use dinar_tensor::par;
@@ -105,14 +106,6 @@ impl VoteOutcome {
             .filter_map(|(d, _)| *d)
             .collect()
     }
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Computes node `i`'s outgoing messages: `(destination, message)` pairs in

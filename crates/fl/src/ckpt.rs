@@ -7,8 +7,9 @@
 //! * the server's global model and completed-round counter,
 //! * every client's model parameters, RNG stream position
 //!   ([`dinar_tensor::RngState`]), optimizer state
-//!   ([`dinar_nn::optim::OptimState`]) and middleware state
-//!   ([`MiddlewareState`]) — DINAR's stored private layers included,
+//!   ([`dinar_nn::optim::OptimState`]), middleware state
+//!   ([`MiddlewareState`]) — DINAR's stored private layers included — and
+//!   the lossy-uplink error-feedback residual,
 //! * an optional partial round: the `(loss, update)` pairs of the clients
 //!   that already finished this round, in client order.
 //!
@@ -16,12 +17,12 @@
 //! static configuration (epochs, batch size, architecture, middleware
 //! stack). A resumed run rebuilds those from the same builder inputs, then
 //! installs the image with [`crate::FlSystem::restore`]. Because the
-//! engine's parallel fan-out trains clients independently and aggregates
-//! in client order, the sequential partial-round driver
-//! ([`crate::FlSystem::begin_round_partial`] / `finish_round`) produces a
-//! final model bit-identical to an uninterrupted parallel run — the
-//! determinism contract `tests/resume_determinism.rs` pins at every
-//! thread-pool width.
+//! engine trains clients independently and aggregates in client order, the
+//! partial-round driver ([`crate::FlSystem::begin_round_partial`] /
+//! `finish_round`) produces a final model bit-identical to an
+//! uninterrupted run, and a between-rounds image resumes the threaded wire
+//! engine bit-identically under every codec — the determinism contracts
+//! `tests/resume_determinism.rs` pins at every thread-pool width.
 //!
 //! All model tensors are stored at [`Dtype::F32`]: a resume image is a
 //! fidelity-critical artifact, so the narrower f16/i8 widths (meant for
@@ -49,6 +50,9 @@ pub struct ClientCkpt {
     pub optim: OptimState,
     /// Per-middleware state, `None` for stateless entries, in stack order.
     pub middleware: Vec<Option<MiddlewareState>>,
+    /// The error-feedback residual carried between lossy uploads, `None`
+    /// if the client has not uploaded over a lossy codec.
+    pub residual: Option<ModelParams>,
 }
 
 /// The already-finished portion of an interrupted round: each entry is the
@@ -243,6 +247,13 @@ pub fn encode_resume(ckpt: &FlCheckpoint) -> Result<Vec<u8>> {
         for mw in &client.middleware {
             write_middleware(&mut w, mw)?;
         }
+        match &client.residual {
+            Some(residual) => {
+                w.put_u8(1);
+                write_params(&mut w, residual)?;
+            }
+            None => w.put_u8(0),
+        }
     }
     match &ckpt.pending {
         Some(pending) => {
@@ -290,7 +301,11 @@ pub fn decode_resume(bytes: &[u8]) -> Result<FlCheckpoint> {
         for _ in 0..mw_count {
             middleware.push(read_middleware(&mut r)?);
         }
-        clients.push(ClientCkpt { id, params, rng, optim, middleware });
+        let residual = match r.read_u8().map_err(NnError::Wire)? {
+            0 => None,
+            _ => Some(read_params(&mut r)?),
+        };
+        clients.push(ClientCkpt { id, params, rng, optim, middleware, residual });
     }
     let pending = match r.read_u8().map_err(NnError::Wire)? {
         0 => None,
@@ -371,6 +386,7 @@ mod tests {
                             stored: vec![None, Some(LayerParams::new(vec![Tensor::ones(&[3])]))],
                         }),
                     ],
+                    residual: Some(params(-0.125)),
                 },
                 ClientCkpt {
                     id: 1,
@@ -378,6 +394,7 @@ mod tests {
                     rng: Rng::seed_from(9).state(),
                     optim: OptimState::default(),
                     middleware: vec![],
+                    residual: None,
                 },
             ],
             pending: Some(PendingRound {
@@ -401,7 +418,9 @@ mod tests {
         assert_eq!(back.clients[0].rng, ckpt.clients[0].rng);
         assert_eq!(back.clients[0].optim, ckpt.clients[0].optim);
         assert_eq!(back.clients[0].middleware, ckpt.clients[0].middleware);
+        assert_eq!(back.clients[0].residual, ckpt.clients[0].residual);
         assert_eq!(back.clients[1].id, 1);
+        assert!(back.clients[1].residual.is_none());
         let pending = back.pending.unwrap();
         assert_eq!(pending.completed.len(), 1);
         assert_eq!(pending.completed[0].0, 0.25);

@@ -5,8 +5,10 @@ use crate::{ClientMiddleware, FlError, Result};
 use dinar_data::Dataset;
 use dinar_nn::loss::CrossEntropyLoss;
 use dinar_nn::optim::Optimizer;
+use dinar_nn::snapshot::ErrorFeedback;
 use dinar_nn::{Model, ModelParams};
 use dinar_telemetry::{SpanGuard, Telemetry};
+use dinar_tensor::wire::Codec;
 use dinar_tensor::Rng;
 
 /// The parameter set a client uploads after local training, with the sample
@@ -23,8 +25,9 @@ pub struct ClientUpdate {
 
 /// One federated learning participant.
 ///
-/// A client owns its model, optimizer, private data shard, RNG stream and
-/// middleware stack. The round protocol is
+/// A client owns its model, optimizer, private data shard, RNG stream,
+/// middleware stack and lossy-uplink error-feedback residual. The round
+/// protocol is
 /// [`receive_global`](FlClient::receive_global) →
 /// [`train_local`](FlClient::train_local) →
 /// [`produce_update`](FlClient::produce_update).
@@ -39,6 +42,9 @@ pub struct FlClient {
     local_epochs: usize,
     batch_size: usize,
     telemetry: Telemetry,
+    /// Quantization error carried between lossy uploads (threaded wire
+    /// engine only); part of the resume state.
+    feedback: ErrorFeedback,
 }
 
 impl FlClient {
@@ -77,6 +83,7 @@ impl FlClient {
             local_epochs,
             batch_size,
             telemetry: Telemetry::disabled(),
+            feedback: ErrorFeedback::new(),
         })
     }
 
@@ -142,11 +149,6 @@ impl FlClient {
         if let Some(mw) = self.middleware.last_mut() {
             mw.attach_telemetry(&self.telemetry, self.id);
         }
-    }
-
-    /// Names of the installed middleware, in order.
-    pub fn middleware_names(&self) -> Vec<&'static str> {
-        self.middleware.iter().map(|m| m.name()).collect()
     }
 
     /// Receives the global model: runs the download middleware chain and
@@ -224,7 +226,7 @@ impl FlClient {
     /// [`receive_global`](FlClient::receive_global) →
     /// [`train_local`](FlClient::train_local) →
     /// [`produce_update`](FlClient::produce_update). Returns the mean
-    /// training loss and the produced update. Both the sequential fan-out
+    /// training loss and the produced update. Both the in-process fan-out
     /// and the threaded transport drive rounds through this single entry
     /// point, so the two engines cannot drift apart.
     ///
@@ -238,11 +240,23 @@ impl FlClient {
         Ok((loss, update))
     }
 
+    /// Encodes `update` as its delta against `global` under the lossy
+    /// `codec`, compensated with (and refreshing) the error-feedback
+    /// residual this client carries across rounds.
+    pub(crate) fn encode_delta(
+        &mut self,
+        update: &ModelParams,
+        global: &ModelParams,
+        codec: Codec,
+    ) -> dinar_nn::Result<Vec<u8>> {
+        self.feedback.compress(&update.sub(global)?, codec)
+    }
+
     /// Exports the client's full mutable state — model parameters, RNG
-    /// stream position, optimizer state and per-middleware state — for a
-    /// resume image. The private data shard and static configuration are
-    /// *not* part of the export; a resumed run rebuilds them from the same
-    /// builder inputs.
+    /// stream position, optimizer state, per-middleware state and the
+    /// error-feedback residual — for a resume image. The private data
+    /// shard and static configuration are *not* part of the export; a
+    /// resumed run rebuilds them from the same builder inputs.
     pub fn export_state(&self) -> ClientCkpt {
         ClientCkpt {
             id: self.id,
@@ -250,6 +264,7 @@ impl FlClient {
             rng: self.rng.state(),
             optim: self.optimizer.export_state(),
             middleware: self.middleware.iter().map(|m| m.export_state()).collect(),
+            residual: self.feedback.residual().map(ModelParams::share),
         }
     }
 
@@ -284,6 +299,7 @@ impl FlClient {
                 mw.import_state(st)?;
             }
         }
+        self.feedback = ErrorFeedback::with_residual(state.residual);
         Ok(())
     }
 

@@ -104,7 +104,7 @@ pub struct RoundPolicy {
 
 impl RoundPolicy {
     /// The strict full-participation policy (no deadline, full quorum,
-    /// no retries, no faults) — behaviourally identical to the sequential
+    /// no retries, no faults) — behaviourally identical to the in-process
     /// engine on a healthy system.
     pub fn strict() -> Self {
         RoundPolicy::default()

@@ -1,6 +1,12 @@
 //! Round orchestration, system builder and cost accounting.
+//!
+//! Both engines finish a round through one close-out, `close_round`: the
+//! in-process driver here ([`FlSystem::run_round`], and the split
+//! [`FlSystem::begin_round_partial`] / [`FlSystem::finish_round`]) and the
+//! threaded one in [`crate::transport`].
 
 use crate::ckpt::{FlCheckpoint, PendingRound};
+use crate::clock::{Clock, WallClock};
 use crate::{ClientMiddleware, ClientUpdate, FlClient, FlError, FlServer, Result, ServerMiddleware};
 use dinar_data::Dataset;
 use dinar_metrics::cost::{measure, CostSample};
@@ -8,27 +14,94 @@ use dinar_nn::optim::Optimizer;
 use dinar_nn::{Model, ModelParams};
 use dinar_telemetry::{bridge, Telemetry};
 use dinar_tensor::{par, profile, Rng};
-use std::time::Duration;
 
-/// Runs one round of local training for each referenced client on the
-/// [`par`] pool (clients are data-independent within a round) and returns
-/// the per-client outcomes **in input order**, so the caller's loss fold
-/// and the aggregation order are identical to the sequential loop. Each
-/// client's [`measure`] runs entirely on its worker thread, so the
-/// per-thread memory scope attributes only that client's allocations.
-/// Tensor kernels invoked inside a worker run serially (nested parallel
-/// regions execute inline), preventing clients × threads oversubscription.
+/// One client's finished round, as the close-out folds it.
+#[derive(Debug)]
+pub(crate) struct TrainedClient {
+    /// The client's mean training loss this round.
+    pub(crate) loss: f32,
+    /// Seconds the client spent on the round.
+    pub(crate) train_s: f64,
+    /// Peak extra tensor bytes the client allocated during the round.
+    pub(crate) peak_mem: u64,
+    /// The client's upload.
+    pub(crate) update: ClientUpdate,
+}
+
+/// Runs one round of local training for each client on the [`par`] pool
+/// (clients are data-independent within a round) and returns the outcomes
+/// **in client order** — the first failure in client order wins — so the
+/// close-out's folds and the aggregation order are identical to a
+/// sequential loop. Each client's [`measure`] runs entirely on its worker
+/// thread, so the per-thread memory scope attributes only that client's
+/// allocations. Tensor kernels invoked inside a worker run serially (nested
+/// parallel regions execute inline), preventing clients × threads
+/// oversubscription.
 ///
 /// `span_parent` seeds each client's span lineage (worker threads start
 /// with an empty span stack); pass the enclosing round span's path.
-fn train_fan_out(
-    clients: &mut [&mut FlClient],
+fn train(
+    clients: &mut [FlClient],
     global: &ModelParams,
     span_parent: &str,
-) -> Vec<(Result<(f32, ClientUpdate)>, Duration, u64)> {
+) -> Result<Vec<TrainedClient>> {
     par::map_items_mut(clients, |_, client| {
         let _client_span = client.round_span(span_parent);
         measure(|| client.run_protocol(global))
+    })
+    .into_iter()
+    .map(|(result, elapsed, peak_mem)| {
+        let (loss, update) = result?;
+        Ok(TrainedClient {
+            loss,
+            train_s: elapsed.as_secs_f64(),
+            peak_mem,
+            update,
+        })
+    })
+    .collect()
+}
+
+/// The round close-out shared by both engines: folds loss, train time and
+/// peak memory over `trained` in the given (client) order, FedAvg-aggregates
+/// the updates under an `aggregate` span timed on `clock`, and reports the
+/// round as number `round`. Counters stay with the calling engine.
+///
+/// # Errors
+///
+/// Propagates aggregation errors.
+pub(crate) fn close_round(
+    server: &mut FlServer,
+    telemetry: &Telemetry,
+    clock: &dyn Clock,
+    round: usize,
+    trained: Vec<TrainedClient>,
+) -> Result<RoundReport> {
+    let participants = trained.len().max(1) as f64;
+    let mut loss_sum = 0.0f64;
+    let mut train_s_sum = 0.0f64;
+    let mut peak_mem = 0u64;
+    let mut updates = Vec::with_capacity(trained.len());
+    for client in trained {
+        loss_sum += client.loss as f64;
+        train_s_sum += client.train_s;
+        peak_mem = peak_mem.max(client.peak_mem);
+        updates.push(client.update);
+    }
+    let server_agg_s = {
+        let _agg_span = telemetry.span("aggregate");
+        let t0 = clock.elapsed();
+        server.aggregate(&updates)?;
+        clock.elapsed().saturating_sub(t0).as_secs_f64()
+    };
+    Ok(RoundReport {
+        round,
+        mean_train_loss: (loss_sum / participants) as f32,
+        cost: CostSample {
+            client_train_s: train_s_sum / participants,
+            server_agg_s,
+            client_peak_mem_bytes: peak_mem,
+        },
     })
 }
 
@@ -179,41 +252,31 @@ impl FlSystem {
     /// returns [`FlError::InvalidConfig`] if a partial round is pending.
     pub fn run_round(&mut self) -> Result<RoundReport> {
         self.check_no_pending()?;
+        self.complete_round(Vec::new())
+    }
+
+    /// Trains the clients after the already-`trained` prefix under a
+    /// `round[N]` span, then runs the shared [`close_round`] and records the
+    /// round's metrics.
+    fn complete_round(&mut self, mut trained: Vec<TrainedClient>) -> Result<RoundReport> {
         let kernels_before = profile::snapshot();
-        let round_span = self.telemetry.span(&format!("round[{}]", self.rounds_run + 1));
-        let span_parent = round_span.path().to_string();
+        let round = self.rounds_run + 1;
+        let round_span = self.telemetry.span(&format!("round[{round}]"));
         let global = self.server.global_params().share();
-        let mut refs: Vec<&mut FlClient> = self.clients.iter_mut().collect();
-        let results = train_fan_out(&mut refs, &global, &span_parent);
-        drop(refs);
-        let mut updates = Vec::with_capacity(self.clients.len());
-        let mut loss_sum = 0.0f64;
-        let mut train_time_sum = 0.0f64;
-        let mut peak_mem = 0u64;
-        for (result, elapsed, mem) in results {
-            let (loss, update) = result?;
-            loss_sum += loss as f64;
-            train_time_sum += elapsed.as_secs_f64();
-            peak_mem = peak_mem.max(mem);
-            updates.push(update);
-        }
-        let (agg_result, agg_elapsed, _) = {
-            let _agg_span = self.telemetry.span("aggregate");
-            measure(|| self.server.aggregate(&updates).map(|_| ()))
-        };
-        agg_result?;
-        self.rounds_run += 1;
+        let done = trained.len();
+        trained.extend(train(&mut self.clients[done..], &global, round_span.path())?);
+        let updates = trained.len();
+        let report = close_round(
+            &mut self.server,
+            &self.telemetry,
+            &WallClock::new(),
+            round,
+            trained,
+        )?;
+        self.rounds_run = round;
         drop(round_span);
-        self.record_round_metrics(&kernels_before, updates.len(), peak_mem);
-        Ok(RoundReport {
-            round: self.rounds_run,
-            mean_train_loss: (loss_sum / self.clients.len().max(1) as f64) as f32,
-            cost: CostSample {
-                client_train_s: train_time_sum / self.clients.len().max(1) as f64,
-                server_agg_s: agg_elapsed.as_secs_f64(),
-                client_peak_mem_bytes: peak_mem,
-            },
-        })
+        self.record_round_metrics(&kernels_before, updates, report.cost.client_peak_mem_bytes);
+        Ok(report)
     }
 
     /// Post-round metrics: deterministic round/update counters, the bridged
@@ -248,92 +311,15 @@ impl FlSystem {
         (0..rounds).map(|_| self.run_round()).collect()
     }
 
-    /// Runs one round with **partial participation**: the server selects a
-    /// uniformly random subset of `participants` clients (§2.1: "the FL
-    /// server selects N participating clients"); only they download, train
-    /// and upload this round. Cross-silo deployments typically select
-    /// everyone (use [`FlSystem::run_round`]); this entry point models
-    /// cross-device-style sampling.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlError::InvalidConfig`] if `participants` is zero or
-    /// exceeds the client count; propagates training/aggregation errors.
-    pub fn run_round_with_selection(
-        &mut self,
-        participants: usize,
-        rng: &mut Rng,
-    ) -> Result<RoundReport> {
-        self.check_no_pending()?;
-        if participants == 0 || participants > self.clients.len() {
-            return Err(FlError::InvalidConfig {
-                reason: format!(
-                    "cannot select {participants} of {} clients",
-                    self.clients.len()
-                ),
-            });
-        }
-        let mut selected = rng.permutation(self.clients.len());
-        selected.truncate(participants);
-        selected.sort_unstable();
-
-        let kernels_before = profile::snapshot();
-        let round_span = self.telemetry.span(&format!("round[{}]", self.rounds_run + 1));
-        let span_parent = round_span.path().to_string();
-        let global = self.server.global_params().share();
-        // Collect &mut references to the selected clients (indices are
-        // sorted, so a single forward sweep suffices).
-        let mut refs: Vec<&mut FlClient> = Vec::with_capacity(participants);
-        {
-            let mut wanted = selected.iter().peekable();
-            for (i, client) in self.clients.iter_mut().enumerate() {
-                if wanted.peek() == Some(&&i) {
-                    refs.push(client);
-                    wanted.next();
-                }
-            }
-        }
-        let results = train_fan_out(&mut refs, &global, &span_parent);
-        drop(refs);
-        let mut updates = Vec::with_capacity(participants);
-        let mut loss_sum = 0.0f64;
-        let mut train_time_sum = 0.0f64;
-        let mut peak_mem = 0u64;
-        for (result, elapsed, mem) in results {
-            let (loss, update) = result?;
-            loss_sum += loss as f64;
-            train_time_sum += elapsed.as_secs_f64();
-            peak_mem = peak_mem.max(mem);
-            updates.push(update);
-        }
-        let (agg_result, agg_elapsed, _) = {
-            let _agg_span = self.telemetry.span("aggregate");
-            measure(|| self.server.aggregate(&updates).map(|_| ()))
-        };
-        agg_result?;
-        self.rounds_run += 1;
-        drop(round_span);
-        self.record_round_metrics(&kernels_before, updates.len(), peak_mem);
-        Ok(RoundReport {
-            round: self.rounds_run,
-            mean_train_loss: (loss_sum / participants as f64) as f32,
-            cost: CostSample {
-                client_train_s: train_time_sum / participants as f64,
-                server_agg_s: agg_elapsed.as_secs_f64(),
-                client_peak_mem_bytes: peak_mem,
-            },
-        })
-    }
-
     /// Whether an interrupted round is pending (some clients trained, no
     /// aggregation yet).
     pub fn has_pending_round(&self) -> bool {
         self.pending.is_some()
     }
 
-    /// Trains clients `0..stop_after` of the next round **sequentially**
-    /// and parks their `(loss, update)` pairs instead of aggregating —
-    /// modelling a run killed after `stop_after` clients. Take a
+    /// Trains clients `0..stop_after` of the next round and parks their
+    /// `(loss, update)` pairs instead of aggregating — modelling a run
+    /// killed after `stop_after` clients. Take a
     /// [`checkpoint`](FlSystem::checkpoint) afterwards to persist the
     /// partial round, and call [`finish_round`](FlSystem::finish_round)
     /// (possibly after a [`restore`](FlSystem::restore) in a fresh
@@ -341,8 +327,8 @@ impl FlSystem {
     ///
     /// Clients are data-independent within a round and the engine
     /// aggregates in client order, so splitting a round this way is
-    /// bit-identical to the parallel [`run_round`](FlSystem::run_round) at
-    /// any thread-pool width.
+    /// bit-identical to [`run_round`](FlSystem::run_round) at any
+    /// thread-pool width.
     ///
     /// # Errors
     ///
@@ -359,60 +345,47 @@ impl FlSystem {
                 ),
             });
         }
+        let round_span = self.telemetry.span(&format!("round[{}]", self.rounds_run + 1));
         let global = self.server.global_params().share();
-        let mut completed = Vec::with_capacity(stop_after);
-        for client in &mut self.clients[..stop_after] {
-            completed.push(client.run_protocol(&global)?);
-        }
-        self.pending = Some(PendingRound { completed });
+        let trained = train(&mut self.clients[..stop_after], &global, round_span.path())?;
+        self.pending = Some(PendingRound {
+            completed: trained.into_iter().map(|t| (t.loss, t.update)).collect(),
+        });
         Ok(())
     }
 
     /// Completes a pending partial round: trains the remaining clients
-    /// sequentially against the same global snapshot, then aggregates all
-    /// updates in client order. The resulting global model is bit-identical
-    /// to an uninterrupted [`run_round`](FlSystem::run_round).
+    /// against the same global snapshot, then closes the round exactly like
+    /// [`run_round`](FlSystem::run_round) — same spans, counters and
+    /// report. The resulting global model is bit-identical to an
+    /// uninterrupted round.
     ///
-    /// The report's cost sample covers only the clients trained in this
-    /// call (the earlier portion's wall-clock belongs to the interrupted
-    /// process).
+    /// The report's train time and peak memory cover only the clients
+    /// trained in this call (the parked portion's measurements belong to
+    /// the interrupted process); its train time is still averaged over all
+    /// clients.
     ///
     /// # Errors
     ///
     /// Returns [`FlError::InvalidConfig`] if no partial round is pending;
     /// propagates training and aggregation errors.
     pub fn finish_round(&mut self) -> Result<RoundReport> {
-        let Some(mut pending) = self.pending.take() else {
+        let Some(pending) = self.pending.take() else {
             return Err(FlError::InvalidConfig {
                 reason: "no partial round is pending; call begin_round_partial first".into(),
             });
         };
-        let global = self.server.global_params().share();
-        let done = pending.completed.len();
-        let mut train_time_sum = 0.0f64;
-        for client in &mut self.clients[done..] {
-            let (result, elapsed, _mem) = measure(|| client.run_protocol(&global));
-            train_time_sum += elapsed.as_secs_f64();
-            pending.completed.push(result?);
-        }
-        let mut updates = Vec::with_capacity(pending.completed.len());
-        let mut loss_sum = 0.0f64;
-        for (loss, update) in pending.completed {
-            loss_sum += loss as f64;
-            updates.push(update);
-        }
-        let (agg_result, agg_elapsed, _) = measure(|| self.server.aggregate(&updates).map(|_| ()));
-        agg_result?;
-        self.rounds_run += 1;
-        Ok(RoundReport {
-            round: self.rounds_run,
-            mean_train_loss: (loss_sum / self.clients.len().max(1) as f64) as f32,
-            cost: CostSample {
-                client_train_s: train_time_sum / self.clients.len().max(1) as f64,
-                server_agg_s: agg_elapsed.as_secs_f64(),
-                client_peak_mem_bytes: 0,
-            },
-        })
+        let parked = pending
+            .completed
+            .into_iter()
+            .map(|(loss, update)| TrainedClient {
+                loss,
+                train_s: 0.0,
+                peak_mem: 0,
+                update,
+            })
+            .collect();
+        self.complete_round(parked)
     }
 
     /// Captures a complete resume image of the system: global model,
@@ -677,66 +650,5 @@ mod tests {
         for c in system.clients() {
             assert!(c.model().params().max_abs_diff(&global).unwrap() > 1e-6);
         }
-    }
-}
-
-#[cfg(test)]
-mod selection_tests {
-    use super::*;
-    use dinar_data::partition::{partition_dataset, Distribution};
-    use dinar_data::Dataset;
-    use dinar_nn::models::{self, Activation};
-    use dinar_nn::optim::Sgd;
-
-    fn system(clients: usize) -> FlSystem {
-        let mut rng = Rng::seed_from(1);
-        let features = rng.randn(&[clients * 20, 3]);
-        let labels = (0..clients * 20).map(|i| i % 2).collect();
-        let data = Dataset::new(features, labels, &[3], 2).unwrap();
-        let shards = partition_dataset(&data, clients, Distribution::Iid, &mut rng).unwrap();
-        FlSystem::builder(FlConfig {
-            local_epochs: 1,
-            batch_size: 8,
-            seed: 2,
-        })
-        .clients_from_shards(
-            shards,
-            |rng| models::mlp(&[3, 4, 2], Activation::ReLU, rng),
-            |_| Box::new(Sgd::new(0.05)),
-        )
-        .unwrap()
-        .build()
-        .unwrap()
-    }
-
-    #[test]
-    fn partial_participation_round_runs() {
-        let mut sys = system(6);
-        let mut rng = Rng::seed_from(3);
-        let report = sys.run_round_with_selection(2, &mut rng).unwrap();
-        assert_eq!(report.round, 1);
-        assert!(report.mean_train_loss.is_finite());
-    }
-
-    #[test]
-    fn full_selection_equals_plain_round() {
-        let mut a = system(4);
-        let mut b = system(4);
-        let mut rng = Rng::seed_from(4);
-        a.run_round().unwrap();
-        b.run_round_with_selection(4, &mut rng).unwrap();
-        assert!(a
-            .global_params()
-            .max_abs_diff(b.global_params())
-            .unwrap()
-            < 1e-7);
-    }
-
-    #[test]
-    fn invalid_selection_rejected() {
-        let mut sys = system(3);
-        let mut rng = Rng::seed_from(5);
-        assert!(sys.run_round_with_selection(0, &mut rng).is_err());
-        assert!(sys.run_round_with_selection(4, &mut rng).is_err());
     }
 }

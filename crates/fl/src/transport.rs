@@ -1,16 +1,17 @@
 //! Threaded, message-passing execution of an FL system — fault-tolerant.
 //!
-//! [`FlSystem::run`](crate::FlSystem::run) drives clients sequentially —
-//! ideal for deterministic benchmarking on one core. This module provides
-//! the *distributed* execution mode: every client runs on its own OS thread
-//! and communicates with the server **exclusively through typed messages
-//! over channels**, the way a deployed cross-silo system exchanges models
-//! over the network. No memory is shared between server and clients beyond
-//! the messages.
+//! [`FlSystem::run`](crate::FlSystem::run) trains clients in process, fanned
+//! out on the shared worker pool. This module provides the *distributed*
+//! execution mode, [`run_threaded_wire`]: every client runs on its own OS
+//! thread and communicates with the server **exclusively through typed
+//! messages over channels**, the way a deployed cross-silo system exchanges
+//! models over the network. No memory is shared between server and clients
+//! beyond the messages. Once a round's updates are collected, both engines
+//! finish it through the same close-out (fold, aggregate, report).
 //!
 //! # Fault tolerance
 //!
-//! Unlike the sequential engine, the threaded engine must survive partial
+//! Unlike the in-process engine, the threaded engine must survive partial
 //! participation: client threads can die mid-round, drop their upload,
 //! straggle past a deadline, or fail transiently and recover. Collection is
 //! therefore **accounting-driven with a deadline backstop**
@@ -34,7 +35,8 @@
 //! broadcasts the same `Arc`'d frame to every client; each client decodes
 //! it, trains, and uploads an encoded frame back. [`WireConfig`] picks the
 //! codec per direction — lossless `f32`, 1-bit signs, or quantized `i8`
-//! deltas, with error-feedback residuals carried client-side — and a
+//! deltas, with error-feedback residuals carried by each [`FlClient`] (so
+//! they survive a split run and a resume image) — and a
 //! [`NetworkModel`](crate::netsim::NetworkModel) prices every transfer on
 //! a deterministic simulated network. Byte counts, frame counts and the
 //! simulated per-round makespan surface as `fl.transport.*` telemetry and
@@ -45,19 +47,19 @@
 //!
 //! The two engines are behaviourally identical on a healthy system: client
 //! training is self-contained and the server sorts updates by client id
-//! before aggregating, so `run_threaded` produces bit-identical global
-//! models to the sequential engine given the same seeds (the default
+//! before aggregating, so [`run_threaded_wire`] produces bit-identical global
+//! models to the in-process engine given the same seeds (the default
 //! lossless codec moves exact `f32` bit patterns), and keeps doing so
 //! under an injected [`FaultPlan`] for any worker-pool width (asserted by
 //! the integration tests).
 
-use crate::clock::{Clock, WallClock};
+use crate::clock::Clock;
 use crate::deadline::{recv_blocking, DeadlineReceiver, Step};
 use crate::fault::{FaultKind, FaultPlan, RoundFaultStats, RoundPolicy};
 use crate::netsim::{RoundMeter, RoundWireStats, WireConfig};
+use crate::system::{close_round, TrainedClient};
 use crate::{ClientUpdate, FlClient, FlError, FlSystem, Result, RoundReport};
-use dinar_metrics::cost::CostSample;
-use dinar_nn::snapshot::{decode_params, encode_params, ErrorFeedback};
+use dinar_nn::snapshot::{decode_params, encode_params};
 use dinar_nn::ModelParams;
 use dinar_telemetry::{bridge, Telemetry};
 use dinar_tensor::alloc::MemoryScope;
@@ -177,52 +179,37 @@ pub struct ResilientRun {
     pub wire_stats: Vec<RoundWireStats>,
 }
 
-/// Runs `rounds` FL rounds with one thread per client under the strict
-/// full-participation policy, consuming and returning the system.
+/// Runs `rounds` FL rounds with one thread per client, consuming the system
+/// and returning it with per-round reports and fault/wire accounting.
 ///
-/// Message flow per round: the server broadcasts
-/// [`ServerMsg::StartRound`] to every client thread; each client installs
-/// the global model (running its download middleware), trains locally,
-/// applies its upload middleware and sends a [`ClientReply`] back; the
-/// server collects all updates, sorts them by client id (for deterministic
-/// aggregation order) and runs FedAvg plus its server middleware.
-///
-/// # Errors
-///
-/// Propagates client training and aggregation errors; a dead, crashed or
-/// failed client thread surfaces as [`FlError::ClientFailure`] naming the
-/// client and round (the strict policy requires every client to report).
-pub fn run_threaded(system: FlSystem, rounds: usize) -> Result<(FlSystem, Vec<RoundReport>)> {
-    run_threaded_with_clock(system, rounds, Arc::new(WallClock::new()))
-}
-
-/// [`run_threaded`] with an injected [`Clock`] for the per-round cost
-/// timings and deadline budget — pair with
-/// [`ManualClock`](crate::clock::ManualClock) to make the reported
-/// `CostSample`s deterministic in replay tests.
-///
-/// # Errors
-///
-/// Same conditions as [`run_threaded`].
-pub fn run_threaded_with_clock(
-    system: FlSystem,
-    rounds: usize,
-    clock: Arc<dyn Clock>,
-) -> Result<(FlSystem, Vec<RoundReport>)> {
-    let run = run_threaded_resilient(system, rounds, clock, RoundPolicy::strict())?;
-    Ok((run.system, run.reports))
-}
-
-/// The fault-tolerant entry point: [`run_threaded_with_clock`] under an
-/// explicit [`RoundPolicy`] (deadline, quorum, retry, fault plan), returning
-/// per-round fault accounting alongside the reports.
+/// Message flow per round: the server encodes the global model once under
+/// [`WireConfig::downlink`] and broadcasts it in a [`ServerMsg::StartRound`]
+/// to every live client thread; each client decodes it (running its
+/// download middleware), trains locally, applies its upload middleware and
+/// sends the update back as a [`ClientReply`], encoded under
+/// [`WireConfig::uplink`]. Every frame crosses the simulated
+/// [`WireConfig::network`]. The server collects under `policy` (deadline,
+/// quorum, retry, fault plan), sorts the arrived updates by client id for a
+/// deterministic aggregation order and closes the round — FedAvg plus its
+/// server middleware — exactly as the in-process engine does.
 ///
 /// Rounds proceed while at least [`Quorum::required`] updates arrive; a
 /// round that falls below quorum fails the run with
 /// [`FlError::ClientFailure`] naming the first failed client. Telemetry
 /// attached to the system before the call is preserved: rounds emit
-/// `round[N]` spans with `broadcast`/`collect`/`aggregate` children and the
-/// `fl.transport.*` fault counters.
+/// `round[N]` spans with `encode`/`broadcast`/`collect`/`aggregate`
+/// children and the `fl.transport.*` counters. `clock` times the reported
+/// costs and budgets the deadline — pass a
+/// [`ManualClock`](crate::clock::ManualClock) for deterministic reports.
+///
+/// The lossless config ([`WireConfig::lossless`]: `f32` both ways, ideal
+/// network) carries exact bit patterns, so the decoded models match the
+/// in-process engine bit for bit. Lossy uplinks switch clients to encoding
+/// the *delta* against the received global, with error-feedback residuals
+/// carried in each [`FlClient`] across rounds and runs; the server
+/// reconstructs by adding back its own decode of the round's broadcast
+/// frame, so both sides agree on the base even when the downlink is itself
+/// lossy.
 ///
 /// [`Quorum::required`]: crate::fault::Quorum::required
 ///
@@ -231,37 +218,12 @@ pub fn run_threaded_with_clock(
 /// Returns [`FlError::InvalidConfig`] for an unmeetable quorum or a
 /// [`FaultKind::Stall`] plan without a deadline (a silent stall can only be
 /// resolved by a deadline); [`FlError::ClientFailure`] for below-quorum
-/// rounds; and propagates aggregation errors.
-pub fn run_threaded_resilient(
-    system: FlSystem,
-    rounds: usize,
-    clock: Arc<dyn Clock>,
-    policy: RoundPolicy,
-) -> Result<ResilientRun> {
-    run_threaded_wire(system, rounds, clock, policy, WireConfig::default())
-}
-
-/// The full-surface entry point: [`run_threaded_resilient`] under an
-/// explicit [`WireConfig`] — codec per direction plus the simulated
-/// network every frame crosses.
-///
-/// The default config (lossless `f32` both ways, ideal network) makes
-/// this identical to [`run_threaded_resilient`]: raw-`f32` frames carry
-/// exact bit patterns, so the decoded models match the in-process engines
-/// bit for bit. Lossy uplinks switch clients to encoding the *delta*
-/// against the received global, with error-feedback residuals carried
-/// client-side across rounds; the server reconstructs by adding back its
-/// own decode of the round's broadcast frame, so both sides agree on the
-/// base even when the downlink is itself lossy.
-///
-/// # Errors
-///
-/// Same conditions as [`run_threaded_resilient`], plus
-/// [`FlError::Nn`](crate::FlError) wrapping a wire error if the global
-/// snapshot cannot be encoded (architecture exceeding the wire's `u32`
-/// fields). Per-frame decode failures do **not** abort the run: a corrupt
-/// broadcast fails that client, a corrupt upload drops that update, and
-/// both land in the round's fault accounting.
+/// rounds or a dead client under full quorum; [`FlError::Nn`] wrapping a
+/// wire error if the global snapshot cannot be encoded (architecture
+/// exceeding the wire's `u32` fields); and propagates aggregation errors.
+/// Per-frame decode failures do **not** abort the run: a corrupt broadcast
+/// fails that client, a corrupt upload drops that update, and both land in
+/// the round's fault accounting.
 pub fn run_threaded_wire(
     system: FlSystem,
     rounds: usize,
@@ -566,41 +528,30 @@ pub fn run_threaded_wire(
         }
 
         // Deterministic aggregation order regardless of arrival order; the
-        // loss/time folds also run in sorted order so their floating-point
+        // close-out's folds also run in sorted order so their floating-point
         // sums replay bit-identically.
         updates.sort_by_key(|(m, _)| m.client_id);
         let participants = updates.len();
-        let loss_sum: f64 = updates.iter().map(|(m, _)| m.train_loss as f64).sum();
-        let train_s_sum: f64 = updates.iter().map(|(m, _)| m.train_s).sum();
-        let peak_mem = updates
-            .iter()
-            .map(|(m, _)| m.peak_mem_bytes)
-            .max()
-            .unwrap_or(0);
-        let round_updates: Vec<ClientUpdate> =
-            updates.into_iter().map(|(_, u)| u).collect();
-        let t0 = clock.elapsed();
-        let agg_result = {
-            let _aspan = telemetry.span("aggregate");
-            server.aggregate(&round_updates)
-        };
-        if let Err(e) = agg_result {
-            error = Some(e);
-            break 'rounds;
+        let trained = updates
+            .into_iter()
+            .map(|(m, update)| TrainedClient {
+                loss: m.train_loss,
+                train_s: m.train_s,
+                // Each client thread measures its own MemoryScope, so
+                // concurrent clients never attribute each other's
+                // allocations.
+                peak_mem: m.peak_mem_bytes,
+                update,
+            })
+            .collect();
+        match close_round(&mut server, &telemetry, clock.as_ref(), rounds_before + r, trained) {
+            Ok(report) => reports.push(report),
+            Err(e) => {
+                error = Some(e);
+                break 'rounds;
+            }
         }
         drop(round_span);
-        reports.push(RoundReport {
-            round: rounds_before + r,
-            mean_train_loss: (loss_sum / participants.max(1) as f64) as f32,
-            cost: CostSample {
-                client_train_s: train_s_sum / participants.max(1) as f64,
-                server_agg_s: clock.elapsed().saturating_sub(t0).as_secs_f64(),
-                // Max over the participants' per-thread ledgers — each
-                // client thread measures its own MemoryScope, so concurrent
-                // clients never attribute each other's allocations.
-                client_peak_mem_bytes: peak_mem,
-            },
-        });
         fault_stats.push(RoundFaultStats {
             round: rounds_before + r,
             participants,
@@ -680,10 +631,10 @@ fn decode_update(msg: &ClientMsg, delta_base: Option<&ModelParams>) -> Result<Cl
 /// the server detects the death through its liveness check, exactly as it
 /// would a real panic.
 ///
-/// The thread owns the client's wire state: it decodes each broadcast
-/// frame, and encodes its upload under `uplink` — absolute parameters for
-/// a lossless codec, the delta against the received global (with an
-/// [`ErrorFeedback`] residual carried across rounds) for a lossy one.
+/// The thread decodes each broadcast frame and encodes its upload under
+/// `uplink` — absolute parameters for a lossless codec, the delta against
+/// the received global for a lossy one, compensated by the error-feedback
+/// residual the [`FlClient`] carries across rounds.
 fn spawn_client(
     mut client: FlClient,
     replies: Sender<ClientReply>,
@@ -695,7 +646,6 @@ fn spawn_client(
     let (tx, rx): (Sender<ServerMsg>, Receiver<ServerMsg>) = channel();
     let join = thread::spawn(move || -> Result<FlClient> {
         let delta_mode = uplink.is_lossy();
-        let mut feedback = ErrorFeedback::new();
         // A Delay fault holds the finished round here until the next
         // StartRound flushes it — by then it is stale and the server's tag
         // check discards it, like a real straggler's late upload.
@@ -792,10 +742,7 @@ fn spawn_client(
                             // compensated. Encode failure is fatal for this
                             // client, reported like any training error.
                             let encoded = if delta_mode {
-                                update
-                                    .params
-                                    .sub(&global)
-                                    .and_then(|d| feedback.compress(&d, uplink))
+                                client.encode_delta(&update.params, &global, uplink)
                             } else {
                                 encode_params(&update.params, uplink)
                             };
@@ -885,6 +832,7 @@ fn record_round_telemetry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::WallClock;
     use crate::FlConfig;
     use dinar_data::Dataset;
     use dinar_nn::models::{self, Activation};
@@ -930,23 +878,34 @@ mod tests {
         .unwrap()
     }
 
+    fn threaded(system: FlSystem, rounds: usize, policy: RoundPolicy) -> Result<ResilientRun> {
+        run_threaded_wire(
+            system,
+            rounds,
+            Arc::new(WallClock::new()),
+            policy,
+            WireConfig::lossless(),
+        )
+    }
+
     #[test]
     fn threaded_matches_sequential_exactly() {
         let mut sequential = build_system();
         sequential.run(4).unwrap();
 
-        let (threaded, reports) = run_threaded(build_system(), 4).unwrap();
-        assert_eq!(reports.len(), 4);
+        let run = threaded(build_system(), 4, RoundPolicy::strict()).unwrap();
+        assert_eq!(run.reports.len(), 4);
         let diff = sequential
             .global_params()
-            .max_abs_diff(threaded.global_params())
+            .max_abs_diff(run.system.global_params())
             .unwrap();
         assert!(diff < 1e-7, "threaded diverged from sequential by {diff}");
     }
 
     #[test]
     fn threaded_reports_progress_and_preserves_clients() {
-        let (system, reports) = run_threaded(build_system(), 3).unwrap();
+        let ResilientRun { system, reports, .. } =
+            threaded(build_system(), 3, RoundPolicy::strict()).unwrap();
         assert_eq!(system.clients().len(), 3);
         assert_eq!(system.server().rounds_completed(), 3);
         assert_eq!(reports.last().unwrap().round, 3);
@@ -959,11 +918,17 @@ mod tests {
 
     #[test]
     fn manual_clock_yields_deterministic_cost_timings() {
-        let clock = Arc::new(crate::clock::ManualClock::new());
-        let (_, reports) = run_threaded_with_clock(build_system(), 2, clock).unwrap();
+        let run = run_threaded_wire(
+            build_system(),
+            2,
+            Arc::new(crate::clock::ManualClock::new()),
+            RoundPolicy::strict(),
+            WireConfig::lossless(),
+        )
+        .unwrap();
         // The clock never advances, so every timing is exactly zero — the
         // replay-determinism property L002 exists to protect.
-        for r in &reports {
+        for r in &run.reports {
             assert_eq!(r.cost.client_train_s, 0.0);
             assert_eq!(r.cost.server_agg_s, 0.0);
         }
@@ -971,31 +936,25 @@ mod tests {
 
     #[test]
     fn threaded_then_sequential_continues_seamlessly() {
-        let (mut system, _) = run_threaded(build_system(), 2).unwrap();
+        let mut system = threaded(build_system(), 2, RoundPolicy::strict()).unwrap().system;
         let report = system.run_round().unwrap();
         assert_eq!(report.round, 3);
     }
 
     #[test]
     fn threaded_reports_real_per_client_peak_memory() {
-        let (_, reports) = run_threaded(build_system(), 1).unwrap();
+        let run = threaded(build_system(), 1, RoundPolicy::strict()).unwrap();
         // Training allocates activation and gradient tensors; the per-thread
         // ledger must observe them (the old transport hard-coded 0 here).
         assert!(
-            reports[0].cost.client_peak_mem_bytes > 0,
+            run.reports[0].cost.client_peak_mem_bytes > 0,
             "per-client peak memory not measured"
         );
     }
 
     #[test]
     fn healthy_resilient_run_reports_no_faults() {
-        let run = run_threaded_resilient(
-            build_system(),
-            2,
-            Arc::new(WallClock::new()),
-            RoundPolicy::strict(),
-        )
-        .unwrap();
+        let run = threaded(build_system(), 2, RoundPolicy::strict()).unwrap();
         assert_eq!(run.fault_stats.len(), 2);
         for s in &run.fault_stats {
             assert_eq!(s.participants, 3);
@@ -1009,26 +968,14 @@ mod tests {
     #[test]
     fn unmeetable_quorum_is_rejected_upfront() {
         let policy = RoundPolicy::with_quorum(crate::fault::Quorum::AtLeast(7), None);
-        let err = run_threaded_resilient(
-            build_system(),
-            1,
-            Arc::new(WallClock::new()),
-            policy,
-        )
-        .unwrap_err();
+        let err = threaded(build_system(), 1, policy).unwrap_err();
         assert!(matches!(err, FlError::InvalidConfig { .. }), "{err}");
     }
 
     #[test]
     fn stall_plan_without_deadline_is_rejected_upfront() {
         let policy = RoundPolicy::strict().with_faults(FaultPlan::new().stall(0, 1));
-        let err = run_threaded_resilient(
-            build_system(),
-            1,
-            Arc::new(WallClock::new()),
-            policy,
-        )
-        .unwrap_err();
+        let err = threaded(build_system(), 1, policy).unwrap_err();
         assert!(matches!(err, FlError::InvalidConfig { .. }), "{err}");
     }
 }

@@ -44,21 +44,21 @@ pub const L010_NOISE_FNS: [&str; 1] = ["add_gaussian_noise"];
 pub const L012_ROOT_FILES: [&str; 1] = ["crates/fl/src/transport.rs"];
 
 /// …plus these qualified functions (the server round loop).
-pub const L012_ROOT_FNS: [&str; 4] = [
+pub const L012_ROOT_FNS: [&str; 5] = [
     "FlServer::aggregate",
     "FlSystem::run",
     "FlSystem::run_round",
-    "FlSystem::run_round_with_selection",
+    "FlSystem::begin_round_partial",
+    "FlSystem::finish_round",
 ];
 
 /// The global mutex acquisition order, outermost first. Nested acquisitions
 /// must move strictly *down* this list; acquiring an earlier (or the same)
 /// class while holding a later one is an L013 violation.
-pub const LOCK_ORDER: [&str; 5] = [
+pub const LOCK_ORDER: [&str; 4] = [
     "telemetry.spans",
     "telemetry.registry",
     "telemetry.histo",
-    "fl.trace",
     "tensor.par",
 ];
 
@@ -72,8 +72,7 @@ fn lock_class(file: &str, receiver: &str) -> Option<usize> {
         }
         ("crates/telemetry/src/registry.rs", "entries") => Some(1),
         ("crates/telemetry/src/registry.rs", "inner") => Some(2),
-        ("crates/fl/src/trace.rs", "inner") => Some(3),
-        ("crates/tensor/src/par.rs", "WIDTH_LOCK") => Some(4),
+        ("crates/tensor/src/par.rs", "WIDTH_LOCK") => Some(3),
         _ => None,
     }
 }

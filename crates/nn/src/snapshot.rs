@@ -108,7 +108,9 @@ pub(crate) fn wire_len(n: usize, what: &'static str) -> Result<u32> {
 ///
 /// Holds the residual (quantization error) of the previous round and
 /// folds it into the next update before encoding. One instance per
-/// client; the state never crosses the wire.
+/// client; the state never crosses the wire, but it is part of the
+/// client's resume state ([`residual`](ErrorFeedback::residual) /
+/// [`with_residual`](ErrorFeedback::with_residual)).
 #[derive(Debug, Default)]
 pub struct ErrorFeedback {
     residual: Option<ModelParams>,
@@ -120,9 +122,15 @@ impl ErrorFeedback {
         ErrorFeedback::default()
     }
 
-    /// Whether a residual is currently carried.
-    pub fn has_residual(&self) -> bool {
-        self.residual.is_some()
+    /// State carrying `residual` — the inverse of
+    /// [`residual`](ErrorFeedback::residual), for restoring a checkpoint.
+    pub fn with_residual(residual: Option<ModelParams>) -> ErrorFeedback {
+        ErrorFeedback { residual }
+    }
+
+    /// The currently carried residual, if any.
+    pub fn residual(&self) -> Option<&ModelParams> {
+        self.residual.as_ref()
     }
 
     /// Encodes `update` under `codec`, compensating with and refreshing
@@ -155,11 +163,6 @@ impl ErrorFeedback {
         let decoded = decode_params(&bytes)?;
         self.residual = Some(compensated.sub(&decoded)?);
         Ok(bytes)
-    }
-
-    /// Drops the carried residual (e.g. on a model-architecture change).
-    pub fn reset(&mut self) {
-        self.residual = None;
     }
 }
 
@@ -250,7 +253,7 @@ mod tests {
             err < err_free * 0.5,
             "feedback mean err {err} not well under feedback-free {err_free}"
         );
-        assert!(fb.has_residual());
+        assert!(fb.residual().is_some());
     }
 
     #[test]
@@ -258,9 +261,9 @@ mod tests {
         let p = small_params();
         let mut fb = ErrorFeedback::new();
         let _ = fb.compress(&p, Codec::QuantI8).unwrap();
-        assert!(fb.has_residual());
+        assert!(fb.residual().is_some());
         let bytes = fb.compress(&p, Codec::F32).unwrap();
-        assert!(!fb.has_residual());
+        assert!(!fb.residual().is_some());
         assert_eq!(bytes, encode_params(&p, Codec::F32).unwrap());
     }
 

@@ -1,5 +1,5 @@
 //! Distributed execution: every client on its own thread, exchanging models
-//! only through messages — plus tracing and checkpointing, the operational
+//! only through messages — plus telemetry and checkpointing, the operational
 //! pieces a deployed FL middleware needs.
 //!
 //! ```text
@@ -11,11 +11,15 @@ use dinar_suite::core::DinarConfig;
 use dinar_suite::data::catalog::{self, Profile};
 use dinar_suite::data::partition::{partition_dataset, Distribution};
 use dinar_suite::data::split::attack_split;
-use dinar_suite::fl::trace::{FlEvent, TraceSink, Traced};
-use dinar_suite::fl::transport::run_threaded;
-use dinar_suite::fl::{ClientMiddleware, FlConfig, FlSystem};
+use dinar_suite::fl::clock::WallClock;
+use dinar_suite::fl::{
+    run_threaded_wire, ClientMiddleware, FlConfig, FlSystem, RoundPolicy, WireConfig,
+};
 use dinar_suite::nn::{io, models, optim::Adagrad};
+use dinar_suite::telemetry::Telemetry;
 use dinar_suite::tensor::Rng;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = Rng::seed_from(99);
@@ -23,36 +27,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let split = attack_split(&dataset, &mut rng)?;
     let shards = partition_dataset(&split.train, 4, Distribution::Iid, &mut rng)?;
 
-    // Trace every middleware invocation across all client threads.
-    let sink = TraceSink::new();
-    let mw_sink = sink.clone();
     let dinar_config = DinarConfig::default();
-    let system = FlSystem::builder(FlConfig {
-        local_epochs: 3,
-        batch_size: 64,
-        seed: 42,
-    })
-    .clients_from_shards(
-        shards,
-        |rng| models::fcnn6(500, 100, 64, rng),
-        |_| Box::new(Adagrad::new(0.05)),
-    )?
-    .with_client_middleware(move |id| {
-        vec![Box::new(Traced::new(
-            DinarMiddleware::new(4, dinar_config, id as u64),
-            mw_sink.clone(),
-            id,
-        )) as Box<dyn ClientMiddleware>]
-    })
-    .build()?;
+    let mut system =
+        FlSystem::builder(FlConfig {
+            local_epochs: 3,
+            batch_size: 64,
+            seed: 42,
+        })
+        .clients_from_shards(
+            shards,
+            |rng| models::fcnn6(500, 100, 64, rng),
+            |_| Box::new(Adagrad::new(0.05)),
+        )?
+        .with_client_middleware(move |id| {
+            vec![Box::new(DinarMiddleware::new(4, dinar_config, id as u64))
+                as Box<dyn ClientMiddleware>]
+        })
+        .build()?;
+    // Record spans on every client thread, middleware transforms included.
+    let telemetry = Telemetry::new();
+    system.set_telemetry(telemetry.clone());
 
     println!("running 6 rounds with one thread per client ...");
-    let (system, reports) = run_threaded(system, 6)?;
-    for report in &reports {
-        sink.emit(FlEvent::Aggregated {
-            round: report.round,
-            updates: system.clients().len(),
-        });
+    let run = run_threaded_wire(
+        system,
+        6,
+        Arc::new(WallClock::new()),
+        RoundPolicy::strict(),
+        WireConfig::lossless(),
+    )?;
+    for report in &run.reports {
         println!(
             "round {:>2}: mean training loss {:.3} (client wall-clock {:.3}s)",
             report.round, report.mean_train_loss, report.cost.client_train_s
@@ -61,15 +65,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Checkpoint the final global model and prove the round trip.
     let path = std::env::temp_dir().join("dinar-global.dnck");
-    io::save(system.global_params(), &path)?;
+    io::save(run.system.global_params(), &path)?;
     let restored = io::load(&path)?;
-    assert!(system.global_params().max_abs_diff(&restored)? < 1e-9);
+    assert!(run.system.global_params().max_abs_diff(&restored)? < 1e-9);
     println!("\ncheckpointed global model to {}", path.display());
 
-    let summary = sink.summary();
+    // Every middleware transform ran under an `mw[name]` span.
+    let spans = telemetry.spans();
+    let mut middleware_invocations: BTreeMap<String, usize> = BTreeMap::new();
+    for span in &spans {
+        let leaf = span.path.rsplit('/').next().unwrap_or_default();
+        if leaf.starts_with("mw[") {
+            *middleware_invocations.entry(leaf.to_string()).or_default() += 1;
+        }
+    }
     println!(
-        "trace: {} events over {:?}; DINAR middleware invocations: {:?}",
-        summary.events, summary.span, summary.middleware_invocations
+        "telemetry: {} spans; middleware invocations: {middleware_invocations:?}",
+        spans.len()
     );
     std::fs::remove_file(&path).ok();
     Ok(())

@@ -7,14 +7,17 @@
 //! round-trip without tripping the kernel sanitizers.
 
 use dinar_fl::ckpt::{decode_resume, encode_resume, load_resume, save_resume};
-use dinar_fl::{FlConfig, FlSystem};
+use dinar_fl::clock::ManualClock;
+use dinar_fl::{run_threaded_wire, FlConfig, FlSystem, RoundPolicy, WireConfig};
 use dinar_nn::ckpt::{self, CkptKind, FORMAT_VERSION, HEADER_LEN, MAGIC};
 use dinar_nn::models::{self, Activation};
 use dinar_nn::optim::Adam;
 use dinar_nn::serve::ServingModel;
 use dinar_nn::{io, NnError};
+use dinar_tensor::wire::Codec;
 use dinar_tensor::{Dtype, Rng, Tensor};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 const ALL_DTYPES: [Dtype; 3] = [Dtype::F32, Dtype::F16, Dtype::I8];
 
@@ -177,42 +180,61 @@ fn corrupted_model_checkpoints_never_panic() {
 }
 
 /// The FL resume image survives the same treatment: file round-trip,
-/// every-prefix truncation, and seeded bit-flip fuzz.
+/// every-prefix truncation, and seeded bit-flip fuzz — both a plain
+/// mid-round image and one whose clients carry lossy-uplink error-feedback
+/// residuals from a threaded `quant_i8` round.
 #[test]
 fn resume_images_roundtrip_and_survive_corruption() {
     let mut system = small_system(7);
     system.run(1).expect("round");
     system.begin_round_partial(2).expect("partial");
-    let image = system.checkpoint();
-    let bytes = encode_resume(&image).expect("encode");
+    let mut lossy = run_threaded_wire(
+        small_system(7),
+        1,
+        Arc::new(ManualClock::new()),
+        RoundPolicy::strict(),
+        WireConfig::lossless().with_uplink(Codec::QuantI8),
+    )
+    .expect("threaded quant_i8 round")
+    .system;
+    lossy.begin_round_partial(2).expect("partial");
+    let residual_image = lossy.checkpoint();
+    assert!(residual_image.clients.iter().all(|c| c.residual.is_some()));
 
-    let back = decode_resume(&bytes).expect("decode");
-    assert_eq!(back.rounds_run, image.rounds_run);
-    assert_eq!(back.clients.len(), image.clients.len());
-    assert!(back.pending.is_some());
+    for image in [system.checkpoint(), residual_image] {
+        let bytes = encode_resume(&image).expect("encode");
 
-    let path = temp_path("resume.dnck");
-    save_resume(&image, &path).expect("save");
-    let from_file = load_resume(&path).expect("load");
-    assert_eq!(from_file.rounds_run, image.rounds_run);
-    std::fs::remove_file(&path).ok();
-
-    for cut in 0..bytes.len() {
-        assert!(
-            decode_resume(&bytes[..cut]).is_err(),
-            "prefix of {cut} bytes decoded"
-        );
-    }
-    let mut rng = Rng::seed_from(131);
-    for trial in 0..300u64 {
-        let mut corrupt = bytes.clone();
-        let flips = 1 + (trial % 4) as usize;
-        for f in 0..flips {
-            let r = rng.next_u64() ^ trial.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(f as u64);
-            let idx = (r as usize) % corrupt.len();
-            corrupt[idx] ^= 1u8 << (r >> 32 & 7);
+        let back = decode_resume(&bytes).expect("decode");
+        assert_eq!(back.rounds_run, image.rounds_run);
+        assert_eq!(back.clients.len(), image.clients.len());
+        assert!(back.pending.is_some());
+        for (b, i) in back.clients.iter().zip(&image.clients) {
+            assert_eq!(b.residual, i.residual);
         }
-        let _ = decode_resume(&corrupt); // Ok(garbage) or Err — never a panic
+
+        let path = temp_path("resume.dnck");
+        save_resume(&image, &path).expect("save");
+        let from_file = load_resume(&path).expect("load");
+        assert_eq!(from_file.rounds_run, image.rounds_run);
+        std::fs::remove_file(&path).ok();
+
+        for cut in 0..bytes.len() {
+            assert!(
+                decode_resume(&bytes[..cut]).is_err(),
+                "prefix of {cut} bytes decoded"
+            );
+        }
+        let mut rng = Rng::seed_from(131);
+        for trial in 0..300u64 {
+            let mut corrupt = bytes.clone();
+            let flips = 1 + (trial % 4) as usize;
+            for f in 0..flips {
+                let r = rng.next_u64() ^ trial.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(f as u64);
+                let idx = (r as usize) % corrupt.len();
+                corrupt[idx] ^= 1u8 << (r >> 32 & 7);
+            }
+            let _ = decode_resume(&corrupt); // Ok(garbage) or Err — never a panic
+        }
     }
 }
 

@@ -2,16 +2,22 @@
 //! round, checkpointed, and resumed into a freshly rebuilt system must
 //! produce a final global model bit-identical to the uninterrupted run —
 //! at every worker-pool width, because the resume image carries exact RNG
-//! counter state, optimizer state, and the partial round's updates.
+//! counter state, optimizer state, and the partial round's updates. The
+//! threaded wire engine resumes the same way between rounds, under every
+//! uplink codec, because the image also carries each client's
+//! error-feedback residual.
 //!
 //! These tests also run under `--features sanitize`.
 
 use dinar_fl::ckpt::{decode_resume, encode_resume};
-use dinar_fl::{FlConfig, FlSystem};
+use dinar_fl::clock::ManualClock;
+use dinar_fl::{run_threaded_wire, FlConfig, FlSystem, RoundPolicy, WireConfig};
 use dinar_nn::models::{self, Activation};
 use dinar_nn::optim::Adam;
+use dinar_telemetry::Telemetry;
+use dinar_tensor::wire::Codec;
 use dinar_tensor::{par, Rng, Tensor};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Serializes mutations of the process-global pool width across tests.
 static WIDTH_LOCK: Mutex<()> = Mutex::new(());
@@ -148,4 +154,75 @@ fn between_round_checkpoints_resume_bit_identically() {
     assert!(!second.has_pending_round());
     second.run(1).expect("final round");
     assert_eq!(reference, global_bits(&second));
+}
+
+/// A resumed `finish_round` closes its round like any other: the
+/// `round[N]` and `aggregate` spans, the `fl.rounds`/`fl.updates`
+/// counters, the bridged kernel delta, and the measured peak memory of the
+/// clients it trained.
+#[test]
+fn finished_rounds_report_like_full_rounds() {
+    let mut first = build_system();
+    first.run(1).expect("warm-up round");
+    first.begin_round_partial(1).expect("partial round");
+    let bytes = encode_resume(&first.checkpoint()).expect("encode");
+    drop(first);
+
+    let telemetry = Telemetry::new();
+    let mut second = build_system();
+    second.set_telemetry(telemetry.clone());
+    second.restore(decode_resume(&bytes).expect("decode")).expect("restore");
+    let report = second.finish_round().expect("finish interrupted round");
+    assert_eq!(report.round, 2);
+    assert!(
+        report.cost.client_peak_mem_bytes > 0,
+        "finish_round must measure the peak memory of the clients it trained"
+    );
+    let paths: Vec<String> = telemetry.spans().into_iter().map(|s| s.path).collect();
+    for expected in ["round[2]", "round[2]/aggregate", "round[2]/client[2]"] {
+        assert!(paths.iter().any(|p| p == expected), "no {expected} span in {paths:?}");
+    }
+    assert_eq!(telemetry.counter_value("fl.rounds"), 1);
+    assert_eq!(telemetry.counter_value("fl.updates"), 3);
+    assert!(telemetry.counter_value("tensor.matmul.flops") > 0, "no kernel delta recorded");
+}
+
+/// `rounds` threaded rounds with every update crossing the wire under
+/// `uplink`, on a manual clock.
+fn threaded(system: FlSystem, rounds: usize, uplink: Codec) -> FlSystem {
+    run_threaded_wire(
+        system,
+        rounds,
+        Arc::new(ManualClock::new()),
+        RoundPolicy::strict(),
+        WireConfig::lossless().with_uplink(uplink),
+    )
+    .expect("threaded run")
+    .system
+}
+
+/// The threaded resume gate: for every uplink codec and pool width, two
+/// threaded runs of two rounds — back to back, or across a between-rounds
+/// resume image and a freshly rebuilt system — end bit-identical to one
+/// uninterrupted four-round threaded run. Lossy codecs carry an
+/// error-feedback residual from round to round, so this holds only if the
+/// residual lives in the client state and in the image.
+#[test]
+fn threaded_runs_split_and_resume_bit_identically_for_every_codec() {
+    for codec in [Codec::F32, Codec::QuantI8, Codec::Sign1] {
+        let straight = per_width(|| global_bits(&threaded(build_system(), 4, codec)));
+        let split = per_width(|| {
+            global_bits(&threaded(threaded(build_system(), 2, codec), 2, codec))
+        });
+        let resumed = per_width(|| {
+            let first = threaded(build_system(), 2, codec);
+            let bytes = encode_resume(&first.checkpoint()).expect("encode");
+            drop(first); // the "killed" process
+            let mut second = build_system();
+            second.restore(decode_resume(&bytes).expect("decode")).expect("restore");
+            global_bits(&threaded(second, 2, codec))
+        });
+        assert_eq!(straight, split, "{codec:?}: split threaded run diverged");
+        assert_eq!(straight, resumed, "{codec:?}: resumed threaded run diverged");
+    }
 }
